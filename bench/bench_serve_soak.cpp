@@ -49,10 +49,16 @@
 //                  must stay allocation-free, and the journal must never
 //                  enter the failed state.
 //
-// The service is measured around an allocation-free stub model so the
-// audit isolates the serving layers (shards, engine ring, waiter pool)
-// from NN-forward internals; bench_serve_throughput covers the real
-// model. Emits BENCH_serve_soak.json (decisions_per_sec is the
+//   4d. real     — a tiny Top-1 MoE-DQN checkpoint saved and loaded
+//                  through ModelRegistry serves the same steady window
+//                  (one NN thread): once the inference plan's workspace
+//                  has grown to the largest batch, blocking decides must
+//                  still perform ZERO heap allocations, forward included.
+//
+// Every other phase is measured around an allocation-free stub model so
+// the audit isolates the serving layers (shards, engine ring, waiter pool)
+// from the NN forward; bench_serve_throughput covers the real model's
+// speed. Emits BENCH_serve_soak.json (decisions_per_sec is the
 // bench_compare-gated key).
 //
 //   ./bench_serve_soak [sessions=100000] [hot=1024] [steady=40000]
@@ -67,6 +73,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/checkpoint.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -422,6 +429,64 @@ int main(int argc, char** argv) {
               best_journal.decisions_per_sec, best_on.decisions_per_sec,
               journal_overhead_pct);
 
+  // ---- phase 4d: zero-alloc audit with a real checkpoint -------------------
+  // Same steady window, served by a tiny Top-1 MoE-DQN through the real
+  // load path. One NN thread: above one, the plan's row split dispatches
+  // through the GEMM pool, which allocates its task handles.
+  SteadyRep best_real;
+  std::uint64_t real_allocs = 0;
+  bool real_loaded = false;
+  const std::filesystem::path real_dir =
+      std::filesystem::temp_directory_path() / "mirage_soak_real";
+  std::filesystem::remove_all(real_dir);
+  std::filesystem::create_directories(real_dir);
+  {
+    nn::FoundationConfig net;
+    net.history_len = k;
+    net.state_dim = rl::kFrameDim;
+    net.d_model = 8;
+    net.num_heads = 2;
+    net.num_layers = 1;
+    net.ffn_hidden = 16;
+    net.moe_experts = 2;
+    net.moe_top1 = true;
+    rl::DqnConfig dqn_cfg;
+    dqn_cfg.foundation = nn::FoundationType::kMoE;
+    dqn_cfg.net = net;
+    const std::string ckpt = (real_dir / "soak__moe_dqn.ckpt").string();
+    serve::RegistryConfig reg_cfg;
+    reg_cfg.net_defaults = net;
+    serve::ModelRegistry registry(reg_cfg);
+    rl::DqnAgent agent(dqn_cfg, 7);
+    const auto load = core::save_agent(agent, ckpt) ? registry.load_file(ckpt, "soak")
+                                                    : serve::ModelRegistry::LoadResult{};
+    real_loaded = load.ok;
+    if (!load.ok) std::fprintf(stderr, "real checkpoint: %s\n", load.error.c_str());
+    serve::ServiceConfig rcfg = cfg;
+    rcfg.session_ttl_seconds = 0.0;
+    rcfg.engine.nn_threads = 1;
+    if (real_loaded) {
+      serve::ProvisioningService real_service(registry, load.key, rcfg);
+      real_service.start();
+      std::vector<serve::SessionId> rids;
+      rids.reserve(hot);
+      for (std::size_t i = 0; i < hot; ++i) {
+        const auto id = real_service.open_session();
+        real_service.observe(id, soak_sample(i), ctx);
+        rids.push_back(id);
+      }
+      for (std::size_t r = 0; r < reps; ++r) {
+        const SteadyRep rep = run_steady(real_service, rids, /*tracing_on=*/true);
+        if (rep.decisions_per_sec > best_real.decisions_per_sec) best_real = rep;
+        real_allocs += rep.alloc_delta;
+        std::printf("real rep    %.0f/s (%llu allocs)\n", rep.decisions_per_sec,
+                    static_cast<unsigned long long>(rep.alloc_delta));
+      }
+      real_service.drain_and_stop();
+    }
+  }
+  std::filesystem::remove_all(real_dir);
+
   // ---- phase 5: backpressure under a saturated engine --------------------
   serve::ServiceConfig bp_cfg;
   bp_cfg.history_len = k;
@@ -542,6 +607,8 @@ int main(int argc, char** argv) {
   gate(journal_allocs == 0,
        "zero steady-state heap allocations with session journaling on");
   gate(journal_overhead_pct <= 5.0, "session journaling overhead within 5% at sync=none");
+  gate(real_loaded && real_allocs == 0,
+       "zero steady-state heap allocations per decide with a real checkpoint");
   gate(!journal_failed, "session journal stayed healthy through the soak");
   gate(report.engine.latency.p99_ms <= p99_limit_ms, "p99 latency within bound");
   gate(report.evictions >= sessions - hot, "TTL reaped the cold fleet");
@@ -568,6 +635,8 @@ int main(int argc, char** argv) {
       .add("decisions_per_sec_journaled", best_journal.decisions_per_sec)
       .add("journal_overhead_pct", journal_overhead_pct)
       .add("journal_allocs", static_cast<std::int64_t>(journal_allocs))
+      .add("decisions_per_sec_real_model", best_real.decisions_per_sec)
+      .add("real_model_allocs", static_cast<std::int64_t>(real_allocs))
       .add("slo_fires", static_cast<std::int64_t>(slo_fires))
       .add("bundle_valid", static_cast<std::int64_t>(bundle_valid ? 1 : 0))
       .add("latency_p50_ms", report.engine.latency.p50_ms)

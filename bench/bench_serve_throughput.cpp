@@ -2,24 +2,29 @@
 // batched serving beats the status-quo B=1 loop by >=4x decisions/sec on
 // the same checkpoint.
 //
-// The B=1 baseline is exactly what every caller does today
-// (rl::DqnAgent::q_pair -> dense forward over ALL MoE experts, two rows
-// at a time). The batched path is ServableModel::infer: requests
-// coalesce into one [B, k*(m+1)] tensor and, for Top-1 MoE checkpoints,
-// the gate routes rows into per-expert sub-batches so each expert runs
-// once over only its rows — the sparse-routing saving the paper left on
-// the table, which only stays GEMM-friendly when serving is batched.
+// The B=1 baseline is what the offline pipeline does (rl::DqnAgent::q_pair
+// -> the training forward over ALL MoE experts, two rows at a time). The
+// batched path is ServableModel::infer: requests coalesce into one
+// workspace of rows for the model's nn::InferencePlan, which routes each
+// Top-1 MoE row to its one expert and runs each expert over its rows —
+// the sparse-routing saving the paper left on the table.
 //
 // Three measurements on the same checkpoint (loaded through the real
 // ModelRegistry path):
 //   1. sequential B=1 serving (status quo);
-//   2. direct batched inference at several batch sizes;
+//   2. direct batched inference at several batch sizes, each timed over
+//      whole passes for at least a second; every 8th decision of the
+//      first pass is compared bitwise with the B=1 agent's q_pair /
+//      submit_probability, and any mismatch exits 1;
 //   3. end-to-end engine serving (client threads -> coalescing queue ->
 //      batched tick), with p50/p95/p99 request latency.
+// All three run at one NN thread, so the gated
+// batched_b64_decisions_per_sec does not ride the host's free cores.
 //
 //   ./bench_serve_throughput [n=4096] [batches=16,64,256] [clients=16]
 //                            [k=24] [d_model=32] [experts=8] [top1=true]
 //                            [kind=dqn]
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <future>
@@ -27,6 +32,7 @@
 
 #include "bench_common.hpp"
 #include "core/checkpoint.hpp"
+#include "nn/parallel.hpp"
 #include "rl/state_encoder.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/model_registry.hpp"
@@ -61,6 +67,8 @@ int main(int argc, char** argv) {
   const auto batches = parse_batches(cli.get_string("batches", "16,64,256"));
   const auto clients = static_cast<std::size_t>(cli.get_int("clients", 16));
   const std::string kind = cli.get_string("kind", "dqn");
+  constexpr double kMinSeconds = 1.0;
+  nn::ScopedNumThreads nn_scope(1);
 
   nn::FoundationConfig net;
   net.history_len = static_cast<std::size_t>(cli.get_int("k", 24));
@@ -143,28 +151,73 @@ int main(int argc, char** argv) {
               "sequential B=1 (status quo)", seq_dps, seq_seconds, submit_count);
 
   // ---- 2. direct batched inference ---------------------------------------
+  // Every kSampleStride-th decision of each batch size is kept and later
+  // compared bit for bit with the B=1 agent on the same observation.
+  constexpr std::size_t kSampleStride = 8;
+  struct Sample {
+    std::size_t batch, row;
+    serve::Decision decision;
+  };
+  std::vector<Sample> samples;
+  samples.reserve(batches.size() * (n / kSampleStride + 1));
   bool target_met = false;
+  double b64_dps = 0.0;
   for (const std::size_t b : batches) {
+    // Whole passes over the observations for at least kMinSeconds, so a
+    // gated rate is never read off a sub-second window.
     t0 = util::wall_seconds();
+    std::size_t served = 0;
     std::vector<std::vector<float>> chunk;
     chunk.reserve(b);
-    for (std::size_t i = 0; i < n;) {
-      chunk.clear();
-      for (; chunk.size() < b && i < n; ++i) chunk.push_back(observations[i]);
-      model->infer(chunk);
-    }
+    do {
+      for (std::size_t i = 0; i < n;) {
+        chunk.clear();
+        const std::size_t first = i;
+        for (; chunk.size() < b && i < n; ++i) chunk.push_back(observations[i]);
+        const auto decisions = model->infer(chunk);
+        if (served > 0) continue;  // samples come from the first pass
+        for (std::size_t j = 0; j < decisions.size(); ++j) {
+          if ((first + j) % kSampleStride == 0) samples.push_back({b, first + j, decisions[j]});
+        }
+      }
+      served += n;
+    } while (util::wall_seconds() - t0 < kMinSeconds);
     const double seconds = util::wall_seconds() - t0;
-    const double dps = static_cast<double>(n) / seconds;
+    const double dps = static_cast<double>(served) / seconds;
     const double speedup = dps / seq_dps;
     if (b >= 16 && speedup >= 4.0) target_met = true;
+    if (b == 64) b64_dps = dps;
     std::printf("%-28s %10.0f decisions/s   %5.1fx vs B=1\n",
                 ("batched B=" + std::to_string(b)).c_str(), dps, speedup);
   }
+
+  // Batched decisions against the B=1 agent's own forward, bit for bit
+  // (== would let -0 and +0 pass as equal).
+  const auto same_bits = [](float a, float b) {
+    return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+  };
+  std::size_t mismatched = 0;
+  for (const Sample& s : samples) {
+    bool same;
+    if (kind == "pg") {
+      same = same_bits(s.decision.score_submit, baseline_pg.submit_probability(observations[s.row]));
+    } else {
+      const auto [q_wait, q_submit] = baseline.q_pair(observations[s.row]);
+      same = same_bits(s.decision.score_wait, q_wait) && same_bits(s.decision.score_submit, q_submit);
+    }
+    if (!same) {
+      ++mismatched;
+      std::fprintf(stderr, "mismatch: B=%zu row %zu differs from the B=1 agent\n", s.batch, s.row);
+    }
+  }
+  std::printf("%-28s %zu of %zu sampled decisions bitwise equal to B=1\n", "batched check",
+              samples.size() - mismatched, samples.size());
 
   // ---- 3. end-to-end engine (coalescing queue, client threads) -----------
   serve::EngineConfig engine_cfg;
   engine_cfg.max_batch = static_cast<std::size_t>(cli.get_int("max_batch", 256));
   engine_cfg.coalesce_wait = std::chrono::microseconds(cli.get_int("coalesce_us", 200));
+  engine_cfg.nn_threads = 1;
   serve::BatchedInferenceEngine engine(registry, load.key, engine_cfg);
   engine.start();
   t0 = util::wall_seconds();
@@ -194,16 +247,24 @@ int main(int argc, char** argv) {
   std::printf("\nbatched >=4x target (B>=16): %s\n", target_met ? "PASS" : "FAIL");
 
   bench::BenchJson json("serve_throughput");
-  json.add("decisions", static_cast<std::int64_t>(n))
+  json.add("params", "n=" + std::to_string(n) + ",batches=" + cli.get_string("batches", "16,64,256") +
+                         ",k=" + std::to_string(net.history_len) + ",d_model=" +
+                         std::to_string(net.d_model) + ",experts=" +
+                         std::to_string(net.moe_experts) + ",top1=" +
+                         std::to_string(net.moe_top1) + ",kind=" + kind)
+      .add("decisions", static_cast<std::int64_t>(n))
       .add("threads", static_cast<std::int64_t>(clients))
       .add("wall_seconds", engine_seconds)
       .add("sequential_decisions_per_sec", seq_dps)
       .add("engine_decisions_per_sec", engine_dps)
       .add("latency_p99_ms", stats.latency.p99_ms)
+      .add("sampled_mismatches", static_cast<std::int64_t>(mismatched))
       .add("target_met", static_cast<std::int64_t>(target_met ? 1 : 0));
+  if (b64_dps > 0.0) json.add("batched_b64_decisions_per_sec", b64_dps);
   json.add_resource_fields();
   json.write();
 
   std::filesystem::remove(ckpt);
+  if (mismatched > 0) return 1;
   return target_met ? 0 : 2;
 }

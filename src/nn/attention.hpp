@@ -26,6 +26,7 @@ class MultiHeadSelfAttention : public Module {
   std::size_t num_heads() const { return heads_; }
 
  private:
+  friend class InferencePlan;
   std::size_t seq_, d_model_, heads_, d_head_;
   Linear wq_, wk_, wv_, wo_;
   // Caches for backward.

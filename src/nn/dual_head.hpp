@@ -32,13 +32,6 @@ class DualHeadModel {
   /// Backward for the last forward_policy; grad is dL/d(logits) [B,2].
   void backward_policy_logits(const Tensor& grad);
 
-  /// Serving-only forwards: bitwise-identical to forward_q /
-  /// forward_policy with train=false, but routed through
-  /// Foundation::infer so Top-1 MoE models skip non-selected experts
-  /// (the batched-serving fast path). No backward may follow.
-  Tensor infer_q(const Tensor& x);
-  Tensor infer_policy(const Tensor& x);
-
   /// All trainable parameters: foundation + both heads.
   std::vector<Parameter*> parameters();
   /// Parameters touched by Q-head training (foundation + V-head).
@@ -58,6 +51,7 @@ class DualHeadModel {
   std::size_t parameter_count();
 
  private:
+  friend class InferencePlan;
   FoundationType type_;
   std::unique_ptr<Foundation> foundation_;
   Linear v_head_;

@@ -272,53 +272,6 @@ Tensor MoEFoundation::forward(const Tensor& x, bool train) {
   return out;
 }
 
-Tensor MoEFoundation::infer(const Tensor& x) {
-  if (!config_.moe_top1) return forward(x, /*train=*/false);
-
-  // Route: argmax of the gate softmax, with forward()'s first-max
-  // tie-break, so routing matches the dense path exactly.
-  Tensor mean = mean_frames(x);
-  Tensor logits = gate_.forward(mean, /*train=*/false);
-  softmax_rows(logits);
-  const std::size_t batch = x.rows();
-  const std::size_t ne = experts_.size();
-  std::vector<std::size_t> route(batch);
-  std::vector<std::size_t> per_expert(ne, 0);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* row = logits.row(b);
-    std::size_t best = 0;
-    for (std::size_t e = 1; e < ne; ++e) {
-      if (row[e] > row[best]) best = e;
-    }
-    route[b] = best;
-    ++per_expert[best];
-  }
-
-  // Gather each expert's rows, run the expert once on its sub-batch, and
-  // scatter the pooled outputs back. Sub-batch rows are computed by the
-  // same per-row kernels as a full-batch forward, so outputs are bitwise
-  // equal to dense-evaluate-then-select.
-  Tensor out(batch, config_.d_model);
-  std::vector<std::size_t> rows;
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (per_expert[e] == 0) continue;
-    rows.clear();
-    rows.reserve(per_expert[e]);
-    for (std::size_t b = 0; b < batch; ++b) {
-      if (route[b] == e) rows.push_back(b);
-    }
-    Tensor sub(rows.size(), x.cols());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::copy(x.row(rows[i]), x.row(rows[i]) + x.cols(), sub.row(i));
-    }
-    const Tensor sub_out = experts_[e]->forward(sub, /*train=*/false);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::copy(sub_out.row(i), sub_out.row(i) + config_.d_model, out.row(rows[i]));
-    }
-  }
-  return out;
-}
-
 Tensor MoEFoundation::backward(const Tensor& grad_out) {
   const std::size_t batch = grad_out.rows();
   const std::size_t ne = experts_.size();

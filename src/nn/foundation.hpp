@@ -37,10 +37,6 @@ class Foundation : public Module {
   virtual const FoundationConfig& config() const = 0;
   /// Deep copy (independent parameters and caches).
   virtual std::unique_ptr<Foundation> clone() const = 0;
-  /// Inference-only forward: bitwise-identical outputs to
-  /// forward(x, false), but free to skip backward bookkeeping and exploit
-  /// inference-only structure (see MoEFoundation's sparse Top-1 routing).
-  virtual Tensor infer(const Tensor& x) { return forward(x, /*train=*/false); }
 };
 
 /// Pre-LN transformer encoder layer: x += MHSA(LN(x)); x += FFN(LN(x)).
@@ -55,6 +51,7 @@ class TransformerEncoderLayer : public Module {
   void collect_params(std::vector<Parameter*>& out) override;
 
  private:
+  friend class InferencePlan;
   LayerNorm ln1_, ln2_;
   MultiHeadSelfAttention attn_;
   Linear ffn1_, ffn2_;
@@ -76,6 +73,7 @@ class TransformerFoundation : public Foundation {
   std::unique_ptr<Foundation> clone() const override;
 
  private:
+  friend class InferencePlan;
   FoundationConfig config_;
   std::string name_;
   std::uint64_t seed_;
@@ -89,8 +87,11 @@ class TransformerFoundation : public Foundation {
 /// Mixture of transformer experts with a softmax gate over the mean frame
 /// (paper Eq. 7 / Fig 6). Dense mode combines all experts with the gate
 /// weights; Top-1 mode routes each sample to its argmax expert (selection
-/// semantics; experts are still evaluated densely on CPU — the sparse
-/// compute saving is an optimization the paper also found unnecessary).
+/// semantics; this training forward still evaluates every expert — the
+/// sparse compute saving is an optimization the paper also found
+/// unnecessary for training). Serving goes through nn::InferencePlan
+/// (nn/infer.hpp), which runs only each row's routed expert and stays
+/// bitwise equal to forward(x, false).
 class MoEFoundation : public Foundation {
  public:
   MoEFoundation(FoundationConfig config, std::uint64_t seed, const std::string& name = "moe");
@@ -103,19 +104,10 @@ class MoEFoundation : public Foundation {
   const FoundationConfig& config() const override { return config_; }
   std::unique_ptr<Foundation> clone() const override;
 
-  /// Top-1 serving evaluates ONLY each row's argmax expert: rows are
-  /// routed by the gate, gathered into per-expert sub-batches, and each
-  /// expert runs once over its rows — an ~E-fold compute saving over the
-  /// dense evaluate-then-select forward, with bitwise-identical outputs
-  /// (selection multiplies the winning expert by exactly 1.0). Dense-gate
-  /// configs fall back to forward(x, false). This is the optimization the
-  /// paper left on the table for training; batched online serving is
-  /// where it pays off (per-expert sub-batches stay large).
-  Tensor infer(const Tensor& x) override;
-
   std::size_t num_experts() const { return experts_.size(); }
 
  private:
+  friend class InferencePlan;
   /// Mean frame per item: [B, state_dim] (the gate's input).
   Tensor mean_frames(const Tensor& x) const;
 

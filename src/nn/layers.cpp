@@ -65,11 +65,6 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 namespace {
 constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
 
-inline float gelu(float x) {
-  const float inner = kGeluC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
 inline float gelu_grad(float x) {
   const float x3 = x * x * x;
   const float inner = kGeluC * (x + 0.044715f * x3);

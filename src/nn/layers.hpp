@@ -1,6 +1,7 @@
 // Core layers: Linear, activations, LayerNorm, Dropout, Sequential.
 #pragma once
 
+#include <cmath>
 #include <memory>
 
 #include "nn/module.hpp"
@@ -21,6 +22,8 @@ class Linear : public Module {
   std::size_t out_features() const { return out_; }
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
+  const Parameter& weight() const { return w_; }
+  const Parameter& bias() const { return b_; }
 
  private:
   std::size_t in_, out_;
@@ -37,7 +40,18 @@ class ReLU : public Module {
   Tensor cached_input_;
 };
 
-/// GELU with the tanh approximation (as in BERT/GPT).
+/// GELU with the tanh approximation (as in BERT/GPT), split around the
+/// tanh so a caller can batch the libm calls:
+///   gelu(x) == gelu_from_tanh(x, std::tanh(gelu_tanh_arg(x))), bit for bit.
+/// GELU::forward and InferencePlan both build on these, so they round alike.
+inline float gelu_tanh_arg(float x) {
+  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
+  return kC * (x + 0.044715f * x * x * x);
+}
+inline float gelu_from_tanh(float x, float t) { return 0.5f * x * (1.0f + t); }
+inline float gelu(float x) { return gelu_from_tanh(x, std::tanh(gelu_tanh_arg(x))); }
+
+/// GELU module over gelu() above.
 class GELU : public Module {
  public:
   Tensor forward(const Tensor& x, bool train) override;
@@ -66,6 +80,7 @@ class LayerNorm : public Module {
   void collect_params(std::vector<Parameter*>& out) override;
 
  private:
+  friend class InferencePlan;
   std::size_t dim_;
   float eps_;
   Parameter gamma_, beta_;

@@ -300,18 +300,7 @@ void add_bias_rows(Tensor& x, const Tensor& bias) {
 }
 
 void softmax_rows(Tensor& x) {
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* row = x.row(r);
-    float mx = row[0];
-    for (std::size_t c = 1; c < x.cols(); ++c) mx = std::max(mx, row[c]);
-    float sum = 0.0f;
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    const float inv = 1.0f / sum;
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] *= inv;
-  }
+  for (std::size_t r = 0; r < x.rows(); ++r) softmax_row(x.row(r), x.cols());
 }
 
 }  // namespace mirage::nn

@@ -4,7 +4,9 @@
 // inner loops when the caller reuses outputs.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -73,6 +75,20 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate = 
 
 /// Add a 1×C bias row to every row of x (in place).
 void add_bias_rows(Tensor& x, const Tensor& bias);
+
+/// Softmax of one n-float row in place (numerically stable). softmax_rows
+/// and InferencePlan both call this one definition, so they round alike.
+inline void softmax_row(float* row, std::size_t n) {
+  float mx = row[0];
+  for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+  float sum = 0.0f;
+  for (std::size_t c = 0; c < n; ++c) {
+    row[c] = std::exp(row[c] - mx);
+    sum += row[c];
+  }
+  const float inv = 1.0f / sum;
+  for (std::size_t c = 0; c < n; ++c) row[c] *= inv;
+}
 
 /// Row-wise softmax in place (numerically stable).
 void softmax_rows(Tensor& x);

@@ -70,11 +70,13 @@ struct EngineConfig {
   /// BackpressureRejected (admission control when the engine saturates).
   /// The ring is preallocated, so queueing never allocates. Clamped >= 1.
   std::size_t max_queue = 8192;
-  /// GEMM threads for the tick's batched forward (nn::ScopedNumThreads
-  /// around infer_into). 0 = inherit the process-wide nn::set_num_threads
-  /// default. Decisions are bitwise identical for every value — the
-  /// parallel-GEMM determinism contract — so this trades latency against
-  /// interference with co-resident training work, never results.
+  /// NN threads for the tick's forward (nn::ScopedNumThreads around
+  /// infer_into): the inference plan splits the batch's rows into static
+  /// contiguous ranges over nn::detail::gemm_pool(). 0 = inherit the
+  /// process-wide nn::set_num_threads default. Rows are independent, so
+  /// decisions are bitwise identical for every value; this trades latency
+  /// against interference with co-resident training work, never results.
+  /// Above 1, the pool dispatch allocates per tick.
   std::size_t nn_threads = 0;
 };
 

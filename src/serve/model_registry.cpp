@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rl/replay_buffer.hpp"
 #include "rl/state_encoder.hpp"
 #include "util/time_utils.hpp"
 
@@ -18,6 +17,22 @@ constexpr float kNoSubmitOrdinal = -1.0f;
 }  // namespace
 
 // ----------------------------------------------------------- ServableModel
+
+ServableModel::ServableModel(ModelKey key, core::CheckpointInfo info, std::string path,
+                             std::uint64_t version, std::unique_ptr<rl::DqnAgent> dqn,
+                             std::unique_ptr<rl::PgAgent> pg)
+    : key_(std::move(key)),
+      info_(std::move(info)),
+      path_(std::move(path)),
+      version_(version),
+      is_dqn_(dqn != nullptr) {
+  if (dqn) {
+    plan_ = std::make_unique<const nn::InferencePlan>(dqn->model(), nn::InferencePlan::Head::kQ);
+  } else if (pg) {
+    plan_ =
+        std::make_unique<const nn::InferencePlan>(pg->model(), nn::InferencePlan::Head::kPolicy);
+  }
+}
 
 std::vector<Decision> ServableModel::infer(
     const std::vector<std::vector<float>>& observations) const {
@@ -42,38 +57,35 @@ void ServableModel::infer_into(const std::vector<std::vector<float>>& observatio
                                   std::to_string(dim) + " (history_len/state_dim mismatch)");
     }
   }
+  if (!plan_) throw std::logic_error("ServableModel::infer: no model behind " + key_.to_string());
   std::lock_guard<std::mutex> lock(infer_mutex_);
-  if (is_dqn()) {
-    // One [2B, dim] Q-pass: row 2i is "wait", row 2i+1 is "submit".
-    nn::Tensor x(2 * batch, dim);
-    std::vector<float> obs;
+  // Each frame's last slot is the action channel. DQN rows come in pairs,
+  // 2i "wait" and 2i+1 "submit"; policy rows have the channel zeroed.
+  const std::size_t frame = info_.state_dim;
+  const auto write_row = [&](float* dst, const std::vector<float>& src, float action) {
+    std::copy(src.begin(), src.end(), dst);
+    for (std::size_t t = 0; t < k; ++t) dst[t * frame + frame - 1] = action;
+  };
+  if (is_dqn_) {
+    float* x = plan_->input(workspace_, 2 * batch);
     for (std::size_t i = 0; i < batch; ++i) {
-      obs = observations[i];
-      rl::set_action_channel(obs, k, kNoSubmitOrdinal);
-      std::copy(obs.begin(), obs.end(), x.row(2 * i));
-      rl::set_action_channel(obs, k, kSubmitOrdinal);
-      std::copy(obs.begin(), obs.end(), x.row(2 * i + 1));
+      write_row(x + (2 * i) * dim, observations[i], kNoSubmitOrdinal);
+      write_row(x + (2 * i + 1) * dim, observations[i], kSubmitOrdinal);
     }
-    nn::Tensor q = dqn_->model().infer_q(x);
+    const float* q = plan_->run(workspace_);
     for (std::size_t i = 0; i < batch; ++i) {
-      out[i].score_wait = q.at(2 * i, 0);
-      out[i].score_submit = q.at(2 * i + 1, 0);
+      out[i].score_wait = q[2 * i];
+      out[i].score_submit = q[2 * i + 1];
       out[i].action = out[i].score_submit > out[i].score_wait ? 1 : 0;
       out[i].model_version = version_;
     }
   } else {
-    // One [B, dim] policy pass with the action channel zeroed.
-    nn::Tensor x(batch, dim);
-    std::vector<float> obs;
+    float* x = plan_->input(workspace_, batch);
+    for (std::size_t i = 0; i < batch; ++i) write_row(x + i * dim, observations[i], 0.0f);
+    const float* probs = plan_->run(workspace_);
     for (std::size_t i = 0; i < batch; ++i) {
-      obs = observations[i];
-      rl::set_action_channel(obs, k, 0.0f);
-      std::copy(obs.begin(), obs.end(), x.row(i));
-    }
-    nn::Tensor probs = pg_->model().infer_policy(x);
-    for (std::size_t i = 0; i < batch; ++i) {
-      out[i].score_wait = probs.at(i, 0);
-      out[i].score_submit = probs.at(i, 1);
+      out[i].score_wait = probs[2 * i];
+      out[i].score_submit = probs[2 * i + 1];
       // Same rule as PgAgent::act_greedy — rounded softmax rows need not
       // sum to exactly 1, so p_submit > p_wait could flip a near-tie.
       out[i].action = out[i].score_submit > 0.5f ? 1 : 0;

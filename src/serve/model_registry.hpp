@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "nn/infer.hpp"
 #include "rl/dqn.hpp"
 #include "rl/policy_gradient.hpp"
 #include "util/wal.hpp"
@@ -55,29 +56,25 @@ struct Decision {
   std::uint64_t model_version = 0;
 };
 
-/// A loaded agent plus its provenance. Inference serializes on an internal
-/// mutex (the dual-head model caches activations), so a snapshot is safe
+/// A loaded agent, frozen into an nn::InferencePlan at construction, plus
+/// its provenance. The agent itself is not kept: the plan holds every
+/// weight the forward needs. Inference serializes on an internal mutex
+/// that guards the one workspace the plan runs in, so a snapshot is safe
 /// to share across threads; the batched engine amortizes that lock over
 /// whole batches. The inference entry points are virtual so harnesses
-/// (e.g. the serve soak bench) can substitute an allocation-free stub and
+/// (e.g. the serve soak bench) can substitute a stub (null agents) and
 /// audit the service layer in isolation from the NN forward.
 class ServableModel {
  public:
   ServableModel(ModelKey key, core::CheckpointInfo info, std::string path, std::uint64_t version,
-                std::unique_ptr<rl::DqnAgent> dqn, std::unique_ptr<rl::PgAgent> pg)
-      : key_(std::move(key)),
-        info_(std::move(info)),
-        path_(std::move(path)),
-        version_(version),
-        dqn_(std::move(dqn)),
-        pg_(std::move(pg)) {}
+                std::unique_ptr<rl::DqnAgent> dqn, std::unique_ptr<rl::PgAgent> pg);
   virtual ~ServableModel() = default;
 
   const ModelKey& key() const { return key_; }
   const core::CheckpointInfo& info() const { return info_; }
   const std::string& path() const { return path_; }
   std::uint64_t version() const { return version_; }
-  bool is_dqn() const { return dqn_ != nullptr; }
+  bool is_dqn() const { return is_dqn_; }
   std::size_t observation_dim() const { return info_.history_len * info_.state_dim; }
 
   /// Batched decision pass: one forward over all observations. Each
@@ -90,9 +87,11 @@ class ServableModel {
 
   /// Same pass writing into a caller-owned buffer (resized to match); the
   /// batched engine reuses one buffer across ticks so the decision vector
-  /// itself never churns the heap. The default NN-backed implementation
-  /// still allocates tensors inside the forward; an override (soak-bench
-  /// stub) can be fully allocation-free.
+  /// itself never churns the heap. The model rows are written straight
+  /// into the plan's workspace, so once the workspace and `out` have
+  /// grown to the largest batch a pass allocates nothing (at one NN
+  /// thread; see nn/infer.hpp). Throws std::logic_error on a model built
+  /// without an agent.
   virtual void infer_into(const std::vector<std::vector<float>>& observations,
                           std::vector<Decision>& out) const;
 
@@ -101,9 +100,10 @@ class ServableModel {
   core::CheckpointInfo info_;
   std::string path_;
   std::uint64_t version_;
-  std::unique_ptr<rl::DqnAgent> dqn_;
-  std::unique_ptr<rl::PgAgent> pg_;
-  mutable std::mutex infer_mutex_;  ///< forward caches are not reentrant
+  bool is_dqn_;
+  std::unique_ptr<const nn::InferencePlan> plan_;  ///< null for stubs
+  mutable std::mutex infer_mutex_;                 ///< guards workspace_
+  mutable nn::Workspace workspace_;
 };
 
 using ModelSnapshot = std::shared_ptr<const ServableModel>;

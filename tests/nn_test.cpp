@@ -10,6 +10,7 @@
 #include "nn/parallel.hpp"
 #include "nn/dual_head.hpp"
 #include "nn/foundation.hpp"
+#include "nn/infer.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -591,6 +592,120 @@ TEST(DualHead, CopyParamsMakesModelsAgree) {
   const Tensor qa = a.forward_q(x, false);
   const Tensor qb = b.forward_q(x, false);
   for (std::size_t i = 0; i < qa.size(); ++i) EXPECT_FLOAT_EQ(qa.flat()[i], qb.flat()[i]);
+}
+
+// ---------------------------------------------------------- InferencePlan
+
+/// Plan outputs for x's rows, copied out of the workspace.
+Tensor run_plan(const InferencePlan& plan, Workspace& ws, const Tensor& x) {
+  std::copy(x.data(), x.data() + x.size(), plan.input(ws, x.rows()));
+  const float* y = plan.run(ws);
+  Tensor out(x.rows(), plan.output_dim());
+  std::copy(y, y + out.size(), out.data());
+  return out;
+}
+
+/// Seven rows, so the four-row kernel blocks leave a remainder: five
+/// random histories, a fresh session's zero-padded one (only the newest
+/// frame set) and an all-zero one.
+Tensor plan_inputs(std::size_t k, std::size_t m, Rng& rng) {
+  Tensor x(7, k * m);
+  for (std::size_t r = 0; r < 5; ++r) {
+    for (std::size_t c = 0; c < k * m; ++c) x.at(r, c) = static_cast<float>(rng.normal());
+  }
+  for (std::size_t c = (k - 1) * m; c < k * m; ++c) x.at(5, c) = static_cast<float>(rng.normal());
+  return x;
+}
+
+/// Scale every attention query and key weight by `factor`. At 30 the
+/// scores spread by hundreds, so most softmax weights underflow to exact
+/// 0 and A·V's zero-weight skip is exercised.
+void sharpen_attention(DualHeadModel& model, float factor) {
+  for (Parameter* p : model.parameters()) {
+    if (p->name.find(".wq.w") != std::string::npos || p->name.find(".wk.w") != std::string::npos) {
+      p->value.scale(factor);
+    }
+  }
+}
+
+TEST(InferencePlan, BitwiseEqualToTrainingForward) {
+  struct Kind {
+    FoundationType type;
+    bool top1;
+    const char* name;
+  };
+  const Kind kinds[] = {{FoundationType::kTransformer, false, "transformer"},
+                        {FoundationType::kMoE, false, "dense-moe"},
+                        {FoundationType::kMoE, true, "top1-moe"}};
+  std::uint64_t seed = 0;
+  for (const Kind& kind : kinds) {
+    for (const std::size_t d : {8, 16, 32}) {
+      for (const std::size_t heads : {1, 2, 4}) {
+        for (const std::size_t ffn : {16, 64}) {
+          for (const std::size_t k : {1, 6, 24}) {
+            for (const std::size_t m : {41, 43}) {  // one partition, and three
+              ++seed;
+              FoundationConfig c;
+              c.history_len = k;
+              c.state_dim = m;
+              c.d_model = d;
+              c.num_heads = heads;
+              c.ffn_hidden = ffn;
+              c.num_layers = 2;
+              c.moe_experts = 3;
+              c.moe_top1 = kind.top1;
+              DualHeadModel model(kind.type, c, seed);
+              const float sharpen = seed % 2 ? 30.0f : 1.0f;
+              sharpen_attention(model, sharpen);
+              Rng rng(seed);
+              const Tensor x = plan_inputs(k, m, rng);
+              const std::string what = std::string(kind.name) + " d=" + std::to_string(d) +
+                                       " heads=" + std::to_string(heads) + " ffn=" +
+                                       std::to_string(ffn) + " k=" + std::to_string(k) + " m=" +
+                                       std::to_string(m) + " sharpen=" + std::to_string(sharpen);
+              Workspace ws;
+              const InferencePlan q(model, InferencePlan::Head::kQ);
+              const InferencePlan p(model, InferencePlan::Head::kPolicy);
+              expect_bitwise_equal(run_plan(q, ws, x), model.forward_q(x, false),
+                                   ("Q " + what).c_str());
+              expect_bitwise_equal(run_plan(p, ws, x), model.forward_policy(x, false),
+                                   ("policy " + what).c_str());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(InferencePlan, RowsIndependentOfBatchAndThreads) {
+  FoundationConfig c;
+  c.history_len = 6;
+  c.d_model = 16;
+  c.ffn_hidden = 32;
+  c.moe_experts = 4;
+  c.moe_top1 = true;
+  DualHeadModel model(FoundationType::kMoE, c, 5);
+  const InferencePlan plan(model, InferencePlan::Head::kQ);
+  Rng rng(6);
+  const Tensor x = random_matrix(65, c.input_dim(), rng);
+  Workspace ws;
+  Tensor want;
+  {
+    ScopedNumThreads serial(1);
+    want = run_plan(plan, ws, x);
+  }
+  expect_bitwise_equal(want, model.forward_q(x, false), "B=65, 1 thread");
+  for (const std::size_t threads : {1, 3, 4}) {
+    ScopedNumThreads scope(threads);
+    expect_bitwise_equal(run_plan(plan, ws, x), want, "B=65");
+    // One row at a time through the same, already larger workspace.
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      const Tensor one = Tensor::row_vector(std::span<const float>(x.row(r), x.cols()));
+      const Tensor got = run_plan(plan, ws, one);
+      EXPECT_EQ(std::memcmp(got.data(), want.row(r), sizeof(float)), 0) << "row " << r;
+    }
+  }
 }
 
 // -------------------------------------------------------------- Optimizer

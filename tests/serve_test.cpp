@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "nn/parallel.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -232,58 +234,113 @@ TEST(ModelRegistry, ClusterParsedFromFilename) {
 
 // ------------------------------------------------------------------ Parity
 
-TEST(BatchedInference, DqnBatchedMatchesSingleBitwise) {
-  TempDir dir("parity_dqn");
-  auto trained = make_dqn(101);
-  ASSERT_TRUE(core::save_agent(trained, dir.file("v100__dqn.ckpt")));
+/// Bitwise float equality: unlike ==, tells -0 from +0.
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
 
-  ModelRegistry registry(test_registry_config());
-  ASSERT_TRUE(registry.load_file(dir.file("v100__dqn.ckpt"), "v100").ok);
-  const auto model = registry.lookup({"v100", "dqn", "moe"});
-  ASSERT_NE(model, nullptr);
-
-  util::Rng rng(7);
+/// Random histories plus the edge cases live sessions produce: every
+/// fifth row is a fresh session's zero-padded history (only the newest
+/// frame set) and every fifth an all-zero one.
+std::vector<std::vector<float>> parity_observations(std::size_t n, std::size_t dim,
+                                                    std::uint64_t seed) {
+  const std::size_t k = test_net().history_len;
+  util::Rng rng(seed);
   std::vector<std::vector<float>> observations;
-  for (int i = 0; i < 33; ++i) {  // odd size: exercises non-full tiles
-    std::vector<float> obs(model->observation_dim());
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<float> obs(dim);
     for (auto& v : obs) v = static_cast<float>(rng.normal());
+    if (i % 5 == 1) std::fill(obs.begin(), obs.end() - static_cast<std::ptrdiff_t>(dim / k), 0.0f);
+    if (i % 5 == 3) std::fill(obs.begin(), obs.end(), 0.0f);
     observations.push_back(std::move(obs));
   }
+  return observations;
+}
 
-  const auto batched = model->infer(observations);
-  ASSERT_EQ(batched.size(), observations.size());
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    const auto [q_wait, q_submit] = trained.q_pair(observations[i]);
-    // Bitwise: batched rows are computed by the same per-row kernels.
-    EXPECT_EQ(batched[i].score_wait, q_wait) << "row " << i;
-    EXPECT_EQ(batched[i].score_submit, q_submit) << "row " << i;
-    EXPECT_EQ(batched[i].action, trained.act_greedy(observations[i])) << "row " << i;
+/// Scale every attention query and key weight by `factor`. At 30 the
+/// scores spread by hundreds, so most softmax weights underflow to exact
+/// 0 and the forward's zero-weight skip in A·V is exercised.
+void sharpen_attention(nn::DualHeadModel& model, float factor) {
+  for (nn::Parameter* p : model.parameters()) {
+    if (p->name.find(".wq.w") != std::string::npos || p->name.find(".wk.w") != std::string::npos) {
+      p->value.scale(factor);
+    }
   }
 }
 
-TEST(BatchedInference, PgBatchedMatchesSingleBitwise) {
-  TempDir dir("parity_pg");
-  auto trained = make_pg(103);
-  ASSERT_TRUE(core::save_agent(trained, dir.file("rtx__pg.ckpt")));
+/// Serve `observations` in chunks of B in {1, 33, 65} at nn_threads in
+/// {1, 4}, and call check(decision, row) for every served row.
+template <typename Check>
+void for_each_batching(const ServableModel& model,
+                       const std::vector<std::vector<float>>& observations, Check&& check) {
+  for (const std::size_t threads : {1, 4}) {
+    nn::ScopedNumThreads scope(threads);
+    for (const std::size_t batch : {1, 33, 65}) {
+      for (std::size_t start = 0; start < observations.size(); start += batch) {
+        const std::size_t end = std::min(observations.size(), start + batch);
+        const std::vector<std::vector<float>> chunk(
+            observations.begin() + static_cast<std::ptrdiff_t>(start),
+            observations.begin() + static_cast<std::ptrdiff_t>(end));
+        const auto decisions = model.infer(chunk);
+        ASSERT_EQ(decisions.size(), chunk.size());
+        for (std::size_t j = 0; j < chunk.size(); ++j) check(decisions[j], start + j);
+      }
+    }
+  }
+}
 
+/// Serve a DQN checkpoint of `cfg` (attention sharpened by `sharpen`) and
+/// compare every batched decision bitwise with the agent's own B=1
+/// q_pair, which runs the training forward.
+void expect_dqn_parity(const rl::DqnConfig& cfg, std::uint64_t seed, float sharpen,
+                       const std::string& tag) {
+  TempDir dir(tag);
+  rl::DqnAgent trained(cfg, seed);
+  sharpen_attention(trained.model(), sharpen);
+  ASSERT_TRUE(core::save_agent(trained, dir.file("v100__dqn.ckpt")));
   ModelRegistry registry(test_registry_config());
-  ASSERT_TRUE(registry.load_file(dir.file("rtx__pg.ckpt"), "rtx").ok);
-  const auto model = registry.lookup({"rtx", "pg", "transformer"});
+  const auto load = registry.load_file(dir.file("v100__dqn.ckpt"), "v100");
+  ASSERT_TRUE(load.ok) << load.error;
+  const auto model = registry.lookup(load.key);
   ASSERT_NE(model, nullptr);
 
-  util::Rng rng(9);
-  std::vector<std::vector<float>> observations;
-  for (int i = 0; i < 17; ++i) {
-    std::vector<float> obs(model->observation_dim());
-    for (auto& v : obs) v = static_cast<float>(rng.normal());
-    observations.push_back(std::move(obs));
-  }
+  const auto observations = parity_observations(65, model->observation_dim(), seed);
+  std::vector<std::pair<float, float>> want;
+  for (const auto& obs : observations) want.push_back(trained.q_pair(obs));
+  for_each_batching(*model, observations, [&](const Decision& d, std::size_t row) {
+    EXPECT_TRUE(same_bits(d.score_wait, want[row].first)) << tag << " row " << row;
+    EXPECT_TRUE(same_bits(d.score_submit, want[row].second)) << tag << " row " << row;
+    EXPECT_EQ(d.action, want[row].second > want[row].first ? 1 : 0) << tag << " row " << row;
+  });
+}
 
-  const auto batched = model->infer(observations);
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    EXPECT_EQ(batched[i].score_submit, trained.submit_probability(observations[i]))
-        << "row " << i;
-    EXPECT_EQ(batched[i].action, trained.act_greedy(observations[i])) << "row " << i;
+TEST(BatchedInference, DqnBatchedMatchesSingleBitwise) {
+  rl::DqnConfig cfg;
+  cfg.foundation = nn::FoundationType::kMoE;  // dense gate
+  cfg.net = test_net();
+  expect_dqn_parity(cfg, 101, 1.0f, "parity_dqn");
+  expect_dqn_parity(cfg, 102, 30.0f, "parity_dqn_sharp");
+}
+
+TEST(BatchedInference, PgBatchedMatchesSingleBitwise) {
+  for (const float sharpen : {1.0f, 30.0f}) {
+    TempDir dir("parity_pg");
+    auto trained = make_pg(103);
+    sharpen_attention(trained.model(), sharpen);
+    ASSERT_TRUE(core::save_agent(trained, dir.file("rtx__pg.ckpt")));
+
+    ModelRegistry registry(test_registry_config());
+    ASSERT_TRUE(registry.load_file(dir.file("rtx__pg.ckpt"), "rtx").ok);
+    const auto model = registry.lookup({"rtx", "pg", "transformer"});
+    ASSERT_NE(model, nullptr);
+
+    const auto observations = parity_observations(65, model->observation_dim(), 9);
+    std::vector<float> want;
+    for (const auto& obs : observations) want.push_back(trained.submit_probability(obs));
+    for_each_batching(*model, observations, [&](const Decision& d, std::size_t row) {
+      EXPECT_TRUE(same_bits(d.score_submit, want[row])) << "sharpen " << sharpen << " row " << row;
+      EXPECT_EQ(d.action, want[row] > 0.5f ? 1 : 0) << "sharpen " << sharpen << " row " << row;
+    });
   }
 }
 
@@ -291,35 +348,20 @@ TEST(BatchedInference, Top1SparseRoutingMatchesDenseBitwise) {
   // Serving a Top-1 MoE checkpoint runs only each row's routed expert;
   // outputs must still be bitwise equal to the dense evaluate-then-select
   // forward the agent itself uses.
-  TempDir dir("parity_top1");
   rl::DqnConfig cfg;
   cfg.foundation = nn::FoundationType::kMoE;
   cfg.net = test_net();
   cfg.net.moe_experts = 4;
   cfg.net.moe_top1 = true;
+  expect_dqn_parity(cfg, 107, 1.0f, "parity_top1");
+  expect_dqn_parity(cfg, 108, 30.0f, "parity_top1_sharp");
+
+  TempDir dir("top1_header");
   rl::DqnAgent trained(cfg, 107);
   ASSERT_TRUE(core::save_agent(trained, dir.file("v100__top1.ckpt")));
-
   ModelRegistry registry(test_registry_config());
-  const auto load = registry.load_file(dir.file("v100__top1.ckpt"), "v100");
-  ASSERT_TRUE(load.ok) << load.error;
-  const auto model = registry.lookup({"v100", "dqn", "moe"});
-  ASSERT_NE(model, nullptr);
-  EXPECT_TRUE(model->info().moe_top1);  // recovered from the v2 header
-
-  util::Rng rng(11);
-  std::vector<std::vector<float>> observations;
-  for (int i = 0; i < 41; ++i) {  // enough rows to hit several experts
-    std::vector<float> obs(model->observation_dim());
-    for (auto& v : obs) v = static_cast<float>(rng.normal());
-    observations.push_back(std::move(obs));
-  }
-  const auto batched = model->infer(observations);
-  for (std::size_t i = 0; i < observations.size(); ++i) {
-    const auto [q_wait, q_submit] = trained.q_pair(observations[i]);
-    EXPECT_EQ(batched[i].score_wait, q_wait) << "row " << i;
-    EXPECT_EQ(batched[i].score_submit, q_submit) << "row " << i;
-  }
+  ASSERT_TRUE(registry.load_file(dir.file("v100__top1.ckpt"), "v100").ok);
+  EXPECT_TRUE(registry.lookup({"v100", "dqn", "moe"})->info().moe_top1);  // from the v2 header
 }
 
 TEST(BatchedInference, RejectsWrongObservationDim) {
@@ -802,8 +844,10 @@ TEST(ProvisioningService, MetricsTextExposesPrometheusCountersAndLatency) {
   EXPECT_NE(text.find("mirage_serve_session_shards"), std::string::npos);
   EXPECT_NE(text.find("mirage_serve_rejected_backpressure_total 0"), std::string::npos);
   // The service exposition appends the process-wide obs registry, so span
-  // histograms (serve_batch at minimum) ride along.
+  // histograms ride along: serve_batch per tick and nn_infer around the
+  // inference plan's forward.
   EXPECT_NE(text.find("obs_span_seconds_serve_batch"), std::string::npos);
+  EXPECT_NE(text.find("obs_span_seconds_nn_infer"), std::string::npos);
 }
 
 TEST(ProvisioningService, GracefulDrainCompletesInFlight) {
