@@ -118,8 +118,8 @@ std::string FlightRecorder::dump(const std::string& reason) {
   if (ec) return "";
 
   // Snapshot the global trace with recording paused: the gate stops new
-  // events racing the copy (fully quiescent rings additionally need the
-  // workload stopped — snapshot()'s standing caveat).
+  // events, and snapshot() leaves out any slot a writer already past the
+  // gate is still filling.
   TraceRing& ring = global_trace();
   const bool was_recording = ring.recording();
   ring.set_recording(false);

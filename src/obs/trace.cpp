@@ -26,18 +26,42 @@ const char* trace_event_kind_name(TraceEventKind k) {
   return "?";
 }
 
-TraceRing::TraceRing(std::size_t capacity) : events_(capacity ? capacity : 1) {}
+TraceRing::TraceRing(std::size_t capacity) : slots_(capacity ? capacity : 1) {}
+
+void TraceRing::Slot::store(const TraceEvent& ev) {
+  std::uint64_t w[kWords];
+  std::memcpy(w, &ev, sizeof ev);
+  // Another writer inside this slot means the ring wrapped during its
+  // write: drop this event rather than interleave the two.
+  std::uint64_t s = seq.load(std::memory_order_relaxed);
+  if ((s & 1) != 0 || !seq.compare_exchange_strong(s, s + 1, std::memory_order_relaxed)) return;
+  std::atomic_thread_fence(std::memory_order_release);
+  for (std::size_t i = 0; i < kWords; ++i) words[i].store(w[i], std::memory_order_relaxed);
+  seq.store(s + 2, std::memory_order_release);
+}
+
+bool TraceRing::Slot::load(TraceEvent& ev) const {
+  const std::uint64_t s = seq.load(std::memory_order_acquire);
+  if (s & 1) return false;
+  std::uint64_t w[kWords];
+  for (std::size_t i = 0; i < kWords; ++i) w[i] = words[i].load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (seq.load(std::memory_order_relaxed) != s) return false;
+  std::memcpy(&ev, w, sizeof ev);
+  return true;
+}
 
 std::vector<TraceEvent> TraceRing::snapshot() const {
   const std::uint64_t n = recorded();
-  const std::size_t cap = events_.size();
+  const std::size_t cap = slots_.size();
   std::vector<TraceEvent> out;
   if (n == 0) return out;
   const std::size_t kept = n < cap ? static_cast<std::size_t>(n) : cap;
   out.reserve(kept);
   const std::uint64_t first = n < cap ? 0 : n - cap;
+  TraceEvent ev;
   for (std::uint64_t i = first; i < n; ++i) {
-    out.push_back(events_[static_cast<std::size_t>(i % cap)]);
+    if (slots_[static_cast<std::size_t>(i % cap)].load(ev)) out.push_back(ev);
   }
   return out;
 }

@@ -14,8 +14,11 @@
 //
 // Rings are fixed-capacity and overwrite the oldest events when full (the
 // recorded total keeps counting, so exporters report drops). record() is a
-// relaxed atomic slot claim plus a struct store — no locks, no heap, so
-// instrumented steady-state loops stay allocation-free.
+// relaxed atomic slot claim plus a store behind the slot's sequence lock —
+// no locks, no heap, so instrumented steady-state loops stay
+// allocation-free, and a snapshot taken while writers run (the flight
+// recorder's fire-time dump) skips the slots being rewritten instead of
+// racing them.
 //
 // Event names are `const char*` and must point at static storage
 // (literals); the ring stores the pointer, not a copy.
@@ -32,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace mirage::obs {
@@ -85,25 +89,42 @@ class TraceRing {
   void record(const TraceEvent& ev) {
     if (!recording()) return;
     const std::uint64_t slot = cursor_.fetch_add(1, std::memory_order_relaxed);
-    events_[static_cast<std::size_t>(slot % events_.size())] = ev;
+    slots_[static_cast<std::size_t>(slot % slots_.size())].store(ev);
   }
 
-  std::size_t capacity() const { return events_.size(); }
+  std::size_t capacity() const { return slots_.size(); }
   /// Total events recorded since the last clear (may exceed capacity).
   std::uint64_t recorded() const { return cursor_.load(std::memory_order_relaxed); }
   std::uint64_t dropped() const {
     const std::uint64_t n = recorded();
-    return n > events_.size() ? n - events_.size() : 0;
+    return n > slots_.size() ? n - slots_.size() : 0;
   }
 
-  /// Events in recording order (oldest surviving first). Not safe against
-  /// concurrent record(); snapshot after the workload quiesces.
+  /// Events in recording order (oldest surviving first). Safe against
+  /// concurrent record(): a slot a writer is inside is left out, never
+  /// copied torn. Only a quiescent ring gives every recorded event.
   std::vector<TraceEvent> snapshot() const;
 
   void clear() { cursor_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::vector<TraceEvent> events_;
+  static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                sizeof(TraceEvent) % sizeof(std::uint64_t) == 0);
+
+  /// One event as atomic words behind a sequence lock: `seq` is odd while
+  /// a writer is inside (a second writer arriving then drops its event),
+  /// and a reader keeps the words only if `seq` read the same even value
+  /// before and after copying them.
+  struct Slot {
+    static constexpr std::size_t kWords = sizeof(TraceEvent) / sizeof(std::uint64_t);
+    std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> words[kWords] = {};
+
+    void store(const TraceEvent& ev);
+    bool load(TraceEvent& ev) const;
+  };
+
+  std::vector<Slot> slots_;
   std::atomic<std::uint64_t> cursor_{0};
   std::atomic<bool> recording_{true};
 };

@@ -3,6 +3,7 @@
 // tracing-cannot-perturb-results contract on the sweep harness.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -282,6 +283,35 @@ TEST(Trace, DisabledRingRecordsNothing) {
   ring.set_recording(true);
   ring.record(TraceEvent{});
   EXPECT_EQ(ring.recorded(), 1u);
+}
+
+TEST(Trace, SnapshotWhileRecordingNeverTearsAnEvent) {
+  // A tiny ring wraps constantly, so writers keep rewriting the slots the
+  // snapshots read (the flight recorder's fire-time dump on a live ring).
+  TraceRing ring(4);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::int64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        TraceEvent ev;
+        ev.ts = ev.dur = ev.arg0 = ev.arg1 = i * 2 + w;
+        ring.record(ev);
+      }
+    });
+  }
+  while (ring.recorded() < 1000) std::this_thread::yield();
+  std::size_t seen = 0, torn = 0;
+  for (int s = 0; s < 20000 && seen < 20000; ++s) {
+    for (const TraceEvent& ev : ring.snapshot()) {
+      ++seen;
+      torn += !(ev.ts == ev.dur && ev.ts == ev.arg0 && ev.ts == ev.arg1);
+    }
+  }
+  stop.store(true);
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(torn, 0u) << "of " << seen << " snapshotted events";
+  EXPECT_GT(seen, 0u);
 }
 
 TEST(Trace, ChromeJsonExportValidatesAndCoversEveryKind) {
